@@ -27,10 +27,9 @@
 //! families — incoherent Base, invalidation-based HCC (MESI), and
 //! update-based Dragon — and records cycles plus per-category traffic
 //! for every (shape, scheme, app) cell. `--parallel` sweeps the suite
-//! under the sequential linear oracle and then under the sharded
-//! parallel-in-host engine (`HIC_ENGINE=sharded:<n>`) across shard
-//! counts, asserting bit-identical simulated results and recording the
-//! suite-throughput scaling curve.
+//! alternately under the sequential linear oracle (`HIC_ENGINE=linear`)
+//! and the default local-retire engine, asserting bit-identical
+//! simulated results and recording each engine's minimum suite wall.
 
 use std::process::ExitCode;
 
@@ -154,17 +153,18 @@ fn main() -> ExitCode {
         report.geometry = run_geometry_matrix(scale);
     }
     if parallel {
-        report.parallel = Some(run_parallel_suite(scale, &[1, 2, 4, 8]));
+        report.parallel = Some(run_parallel_suite(scale));
     }
 
     let wall = report.wall.as_secs_f64();
     println!(
-        "suite --scale {}: {} runs, wall {:.3}s, {:.0} sim-ops/s, {} round-trips",
+        "suite --scale {}: {} runs, wall {:.3}s, {:.0} sim-ops/s, {} round-trips, {} hand-offs",
         report.scale,
         report.runs.len(),
         wall,
         report.sim_ops_per_sec(),
         report.total_round_trips(),
+        report.total_handoffs(),
     );
     for r in &report.runs {
         println!(
@@ -252,24 +252,17 @@ fn main() -> ExitCode {
 
     if let Some(p) = &report.parallel {
         println!(
-            "parallel: {} host cores, oracle {:.3}s, {}",
+            "parallel: {} host cores, linear oracle {:.3}s, default engine {:.3}s ({:.2}x), {}",
             p.host_cores,
             p.oracle_wall.as_secs_f64(),
+            p.local_wall.as_secs_f64(),
+            p.speedup(),
             if p.all_correct() {
-                "all curves bit-identical"
+                "bit-identical"
             } else {
                 "ENGINE MISMATCH"
             },
         );
-        for c in &p.curves {
-            println!(
-                "  sharded:{:<3} {:>9.3}s  {:>6.2}x  {}",
-                c.shards,
-                c.wall.as_secs_f64(),
-                p.speedup(c),
-                if c.identical { "identical" } else { "MISMATCH" },
-            );
-        }
     }
 
     for g in &report.geometry {
@@ -313,7 +306,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if report.parallel.as_ref().is_some_and(|p| !p.all_correct()) {
-        eprintln!("the sharded engine diverged from the sequential oracle");
+        eprintln!("the default engine diverged from the linear oracle");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -235,22 +235,10 @@ pub fn run_geometry_matrix(scale: Scale) -> Vec<GeometryRun> {
     out
 }
 
-/// One point of the shard-count scaling curve (`--parallel`): the whole
-/// app suite swept under `HIC_ENGINE=sharded:<shards>`.
-#[derive(Debug, Clone)]
-pub struct ParallelCurve {
-    pub shards: usize,
-    /// Minimum suite wall time over [`CHECK_REPS`] sweeps.
-    pub wall: Duration,
-    /// Every run reproduced the linear oracle bit-for-bit: simulated
-    /// cycles, all six traffic categories, and in-simulation correctness.
-    pub identical: bool,
-}
-
-/// Parallel-in-host measurement (`--parallel`): the app suite under the
-/// sequential linear oracle, then under the sharded engine across a
-/// sweep of shard counts. Observational equality is asserted per curve;
-/// speedups are meaningful only when `host_cores > 1`.
+/// Engine A/B (`--parallel`): the app suite under the `Linear` oracle
+/// and under the default engine (local retire where the machine admits
+/// it), swept alternately [`CHECK_REPS`] times each with the minimum
+/// wall kept. Observational equality is asserted on every repetition.
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
     /// Host cores available to the sweep (`available_parallelism`).
@@ -259,13 +247,18 @@ pub struct ParallelReport {
     pub oracle_wall: Duration,
     /// Apps still produced correct simulated results under the oracle.
     pub oracle_correct: bool,
-    pub curves: Vec<ParallelCurve>,
+    /// Minimum wall time of the default-engine sweep.
+    pub local_wall: Duration,
+    /// Every default-engine run reproduced the oracle bit-for-bit:
+    /// simulated cycles, all six traffic categories, and in-simulation
+    /// correctness.
+    pub identical: bool,
 }
 
 impl ParallelReport {
-    /// Suite-throughput speedup of one curve over the sequential oracle.
-    pub fn speedup(&self, c: &ParallelCurve) -> f64 {
-        let w = c.wall.as_secs_f64();
+    /// Suite-throughput speedup of the default engine over the oracle.
+    pub fn speedup(&self) -> f64 {
+        let w = self.local_wall.as_secs_f64();
         if w == 0.0 {
             return 0.0;
         }
@@ -273,9 +266,9 @@ impl ParallelReport {
     }
 
     /// The sweep proves the engines interchangeable: the oracle was
-    /// correct and every sharded curve was bit-identical to it.
+    /// correct and the default engine was bit-identical to it.
     pub fn all_correct(&self) -> bool {
-        self.oracle_correct && !self.curves.is_empty() && self.curves.iter().all(|c| c.identical)
+        self.oracle_correct && self.identical
     }
 }
 
@@ -294,7 +287,7 @@ pub struct HostReport {
     pub lint: Vec<LintRun>,
     /// Protocol-comparison matrix over swept topologies (`--geometry`).
     pub geometry: Vec<GeometryRun>,
-    /// Sharded-engine scaling curves, when measured (`--parallel`).
+    /// Default-engine vs oracle A/B, when measured (`--parallel`).
     pub parallel: Option<ParallelReport>,
     /// Host wall-clock of the whole sweep (sum of per-run walls plus
     /// setup; measured around the sweep, not summed).
@@ -312,6 +305,10 @@ impl HostReport {
 
     pub fn total_messages(&self) -> u64 {
         self.runs.iter().map(|r| r.engine.messages).sum()
+    }
+
+    pub fn total_handoffs(&self) -> u64 {
+        self.runs.iter().map(|r| r.engine.handoffs).sum()
     }
 
     pub fn sim_ops_per_sec(&self) -> f64 {
@@ -386,15 +383,15 @@ pub const CHECK_REPS: usize = 3;
 /// interchangeable iff they produce equal signatures for every run.
 type RunSignature = (String, String, bool, u64, TrafficLedger);
 
-/// Sweep the full app suite once under an explicit engine, returning
-/// (wall, signatures).
-fn signature_sweep(scale: Scale, engine: Scheduler) -> (Duration, Vec<RunSignature>) {
+/// Sweep the full app suite once under `engine` (`None` = the default),
+/// returning (wall, signatures).
+fn signature_sweep(scale: Scale, engine: Option<Scheduler>) -> (Duration, Vec<RunSignature>) {
     let t0 = Instant::now();
     let mut sigs = Vec::new();
     for app in intra_apps(scale) {
         for cfg in IntraConfig::ALL {
             let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-            req.engine = Some(engine);
+            req.engine = engine;
             let r = app.run_req(&req);
             sigs.push((
                 app.name().to_string(),
@@ -408,7 +405,7 @@ fn signature_sweep(scale: Scale, engine: Scheduler) -> (Duration, Vec<RunSignatu
     for app in inter_apps(scale) {
         for cfg in InterConfig::ALL {
             let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-            req.engine = Some(engine);
+            req.engine = engine;
             let r = app.run_req(&req);
             sigs.push((
                 app.name().to_string(),
@@ -422,47 +419,28 @@ fn signature_sweep(scale: Scale, engine: Scheduler) -> (Duration, Vec<RunSignatu
     (t0.elapsed(), sigs)
 }
 
-/// Sweep the suite under the sequential linear oracle, then under the
-/// sharded engine for each shard count in `shard_counts` (explicit
-/// `Scheduler::Sharded` requests — the sweep no longer mutates
-/// `HIC_ENGINE`), asserting observational equality and timing suite
-/// throughput. Every engine mode is swept [`CHECK_REPS`] times and the
-/// minimum wall is kept, interleaved oracle-first so warm-up lands on
-/// the oracle (biasing *against* the sharded speedup, never for it).
-pub fn run_parallel_suite(scale: Scale, shard_counts: &[usize]) -> ParallelReport {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let (mut oracle_wall, oracle_sigs) = signature_sweep(scale, Scheduler::Linear);
-    let oracle_correct = oracle_sigs.iter().all(|s| s.2);
-
-    let mut curves: Vec<ParallelCurve> = shard_counts
-        .iter()
-        .map(|&shards| {
-            let (wall, sigs) = signature_sweep(scale, Scheduler::Sharded { shards });
-            ParallelCurve {
-                shards,
-                wall,
-                identical: sigs == oracle_sigs,
-            }
-        })
-        .collect();
-
-    for _ in 1..CHECK_REPS {
-        oracle_wall = oracle_wall.min(signature_sweep(scale, Scheduler::Linear).0);
-        for c in curves.iter_mut() {
-            let shards = c.shards;
-            c.wall = c
-                .wall
-                .min(signature_sweep(scale, Scheduler::Sharded { shards }).0);
-        }
+/// Sweep the suite under the sequential linear oracle and under the
+/// default engine, alternating oracle-first [`CHECK_REPS`] times so
+/// warm-up lands on the oracle (biasing *against* the default engine's
+/// speedup, never for it), asserting observational equality on every
+/// repetition and keeping each engine's minimum wall.
+pub fn run_parallel_suite(scale: Scale) -> ParallelReport {
+    let mut report = ParallelReport {
+        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        oracle_wall: Duration::MAX,
+        oracle_correct: true,
+        local_wall: Duration::MAX,
+        identical: true,
+    };
+    for _ in 0..CHECK_REPS {
+        let (wall, oracle) = signature_sweep(scale, Some(Scheduler::Linear));
+        report.oracle_wall = report.oracle_wall.min(wall);
+        report.oracle_correct &= oracle.iter().all(|s| s.2);
+        let (wall, local) = signature_sweep(scale, None);
+        report.local_wall = report.local_wall.min(wall);
+        report.identical &= local == oracle;
     }
-
-    ParallelReport {
-        host_cores,
-        oracle_wall,
-        oracle_correct,
-        curves,
-    }
+    report
 }
 
 /// Time the incoherent half of the suite three ways — clean, under the
@@ -681,7 +659,7 @@ fn engine_json(e: &EngineStats) -> String {
         "{{\"ops_executed\":{},\"messages\":{},\"batches\":{},\
          \"round_trips\":{},\"wakeups\":{},\"peak_parked\":{},\
          \"shard_local_ops\":{},\"cross_shard_msgs\":{},\
-         \"lookahead_stalls\":{},\"lock_waits\":{}}}",
+         \"lookahead_stalls\":{},\"lock_waits\":{},\"handoffs\":{}}}",
         e.ops_executed,
         e.messages,
         e.batches,
@@ -691,7 +669,8 @@ fn engine_json(e: &EngineStats) -> String {
         e.shard_local_ops,
         e.cross_shard_msgs,
         e.lookahead_stalls,
-        e.lock_waits
+        e.lock_waits,
+        e.handoffs
     )
 }
 
@@ -721,9 +700,10 @@ pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> String {
         f(report.sim_ops_per_sec())
     ));
     out.push_str(&format!(
-        "  \"engine\": {{\"messages\":{},\"round_trips\":{}}},\n",
+        "  \"engine\": {{\"messages\":{},\"round_trips\":{},\"handoffs\":{}}},\n",
         report.total_messages(),
-        report.total_round_trips()
+        report.total_round_trips(),
+        report.total_handoffs()
     ));
     match &report.check {
         Some(c) => out.push_str(&format!(
@@ -768,26 +748,16 @@ pub fn to_json(report: &HostReport, baseline_wall_s: Option<f64>) -> String {
         None => out.push_str("  \"faults\": null,\n"),
     }
     match &report.parallel {
-        Some(p) => {
-            out.push_str(&format!(
-                "  \"parallel\": {{\"host_cores\":{},\"oracle_wall_s\":{},\
-                 \"all_correct\":{},\"curves\":[",
-                p.host_cores,
-                f(p.oracle_wall.as_secs_f64()),
-                p.all_correct()
-            ));
-            for (i, c) in p.curves.iter().enumerate() {
-                out.push_str(&format!(
-                    "{}{{\"shards\":{},\"wall_s\":{},\"speedup\":{},\"identical\":{}}}",
-                    if i > 0 { "," } else { "" },
-                    c.shards,
-                    f(c.wall.as_secs_f64()),
-                    f(p.speedup(c)),
-                    c.identical
-                ));
-            }
-            out.push_str("]},\n");
-        }
+        Some(p) => out.push_str(&format!(
+            "  \"parallel\": {{\"host_cores\":{},\"oracle_wall_s\":{},\
+             \"local_wall_s\":{},\"speedup\":{},\"identical\":{},\"all_correct\":{}}},\n",
+            p.host_cores,
+            f(p.oracle_wall.as_secs_f64()),
+            f(p.local_wall.as_secs_f64()),
+            f(p.speedup()),
+            p.identical,
+            p.all_correct()
+        )),
         None => out.push_str("  \"parallel\": null,\n"),
     }
     out.push_str("  \"lint\": [\n");
@@ -965,18 +935,8 @@ mod tests {
                 host_cores: 8,
                 oracle_wall: Duration::from_millis(400),
                 oracle_correct: true,
-                curves: vec![
-                    ParallelCurve {
-                        shards: 1,
-                        wall: Duration::from_millis(400),
-                        identical: true,
-                    },
-                    ParallelCurve {
-                        shards: 4,
-                        wall: Duration::from_millis(100),
-                        identical: true,
-                    },
-                ],
+                local_wall: Duration::from_millis(100),
+                identical: true,
             }),
             geometry: vec![GeometryRun {
                 shape: "2x4x4".into(),
@@ -1054,8 +1014,10 @@ mod tests {
     fn json_carries_the_parallel_sweep() {
         let j = to_json(&sample_report(), None);
         assert!(j.contains("\"parallel\": {\"host_cores\":8"));
-        assert!(j.contains("\"oracle_wall_s\":0.400"));
-        assert!(j.contains("{\"shards\":4,\"wall_s\":0.100,\"speedup\":4.000,\"identical\":true}"));
+        assert!(j.contains(
+            "\"oracle_wall_s\":0.400,\"local_wall_s\":0.100,\"speedup\":4.000,\
+             \"identical\":true,\"all_correct\":true"
+        ));
         let mut r = sample_report();
         r.parallel = None;
         assert!(to_json(&r, None).contains("\"parallel\": null"));
@@ -1065,7 +1027,7 @@ mod tests {
     fn nonidentical_parallel_curve_fails_the_report() {
         let mut r = sample_report();
         assert!(r.all_correct());
-        r.parallel.as_mut().unwrap().curves[1].identical = false;
+        r.parallel.as_mut().unwrap().identical = false;
         assert!(!r.all_correct());
     }
 
@@ -1077,9 +1039,11 @@ mod tests {
             cross_shard_msgs: 3,
             lookahead_stalls: 2,
             lock_waits: 1,
+            handoffs: 5,
             ..EngineStats::default()
         };
         let j = engine_json(&e);
+        assert!(j.contains("\"handoffs\":5"));
         assert!(j.contains("\"shard_local_ops\":7"));
         assert!(j.contains("\"cross_shard_msgs\":3"));
         assert!(j.contains("\"lookahead_stalls\":2"));

@@ -90,7 +90,7 @@ pub struct IncoherentSystem {
     /// Latched unrecoverable fault (a corrupted dirty line), taken once
     /// by the machine and surfaced as `RunError::CorruptDirtyLine`.
     fault_fatal: Option<String>,
-    /// Detachable per-core state for the sharded engine: `spares[c]`
+    /// Detachable per-core state for the local-retire engine: `spares[c]`
     /// holds a dummy slice that swaps places with core `c`'s real
     /// L1/MEB/IEB while the real slice is checked out (`detach_core`),
     /// so both directions are allocation-free swaps.
@@ -101,7 +101,7 @@ pub struct IncoherentSystem {
 }
 
 /// The core-private state of the incoherent hierarchy — L1, MEB, IEB —
-/// packaged so the sharded engine can check it out of the machine and
+/// packaged so the local-retire engine can check it out of the machine and
 /// run core-local ops against it without holding the global lock.
 ///
 /// Nothing in the machine touches `l1[c]`/`meb[c]`/`ieb[c]` except ops

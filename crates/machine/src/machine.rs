@@ -258,13 +258,13 @@ impl Machine {
         self.backend.kind() == BackendKind::Coherent
     }
 
-    /// True when the sharded engine's core-local fast path may run:
+    /// True when the local-retire engine's core-local fast path may run:
     /// incoherent backend (the only one with detachable core slices), no
     /// sanitizer (its hooks must observe every load/store in order), no
     /// fault plan (fault streams are draw-order-sensitive), and no trace
     /// ring (events must interleave in global key order). When false the
-    /// sharded scheduler serializes through the sequential engine, which
-    /// is trivially bit-identical.
+    /// default engine falls back to the sequential heap engine, which is
+    /// trivially bit-identical.
     pub fn supports_sharding(&self) -> bool {
         self.backend.kind() == BackendKind::Incoherent
             && !self.has_checker
@@ -272,8 +272,8 @@ impl Machine {
             && !self.trace.enabled()
     }
 
-    /// Check core `c`'s private state out of the backend (sharded engine
-    /// only); `None` on backends without detachable state.
+    /// Check core `c`'s private state out of the backend (local-retire
+    /// engine only); `None` on backends without detachable state.
     pub fn detach_core(&mut self, c: CoreId) -> Option<CoreSlice> {
         self.backend.detach_core(c)
     }

@@ -188,8 +188,8 @@ impl Mesh {
     /// interaction between distinct tiles completes in fewer simulated
     /// cycles than one mesh hop. Installed faults only ever *add* latency
     /// (see `installed_faults_only_add_latency`), so the bound holds on a
-    /// faulted mesh too. A sharded event-domain engine may therefore run
-    /// any core ahead of the global timeline by up to this many cycles
+    /// faulted mesh too. A local-retire engine may therefore run any
+    /// core ahead of the global timeline by up to this many cycles
     /// without reordering cross-tile effects.
     pub fn min_hop_lookahead(&self) -> u64 {
         self.hop_cycles

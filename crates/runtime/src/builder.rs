@@ -35,11 +35,10 @@ pub struct ProgramBuilder {
     alloc: BumpAllocator,
     locks: Vec<LockInfo>,
     transport: Transport,
-    /// Explicit scheduler choice; `None` defers to the `HIC_ENGINE`
-    /// environment variable (`linear`, `heap`, `sharded`, or
-    /// `sharded:N` — how CI runs the whole suite under the parallel
-    /// engine without code changes), which in turn defaults to
-    /// [`Scheduler::Heap`].
+    /// Explicit engine choice; `None` defers to the `HIC_ENGINE`
+    /// environment variable (`linear` or `local` — how CI runs the whole
+    /// suite under the linear oracle without code changes), which in
+    /// turn defaults to [`Scheduler::Local`].
     scheduler: Option<Scheduler>,
     /// Explicit sanitizer mode; `None` defers to the `HIC_CHECK`
     /// environment variable (how CI forces checking on without code
@@ -170,12 +169,12 @@ impl ProgramBuilder {
         self
     }
 
-    /// Select how the engine picks the next core, overriding the
-    /// `HIC_ENGINE` environment variable (default:
-    /// [`Scheduler::Heap`]). Simulated results are identical across
-    /// schedulers; the heap is O(log ncores) per op instead of
-    /// O(ncores), and [`Scheduler::Sharded`] executes core-local ops in
-    /// parallel on the host.
+    /// Select the execution engine, overriding the `HIC_ENGINE`
+    /// environment variable (default: [`Scheduler::Local`], which
+    /// retires core-local ops on the issuing thread and falls back to
+    /// the sequential heap engine when the machine cannot serve it).
+    /// Simulated results are identical across engines;
+    /// [`Scheduler::Linear`] is the O(ncores)-per-op test oracle.
     pub fn scheduler(&mut self, s: Scheduler) -> &mut Self {
         self.scheduler = Some(s);
         self
@@ -326,7 +325,7 @@ impl ProgramBuilder {
         // `apply_request` made this run self-contained), parsed by the
         // one set of parsers in `crate::request::env`. A malformed value
         // is a loud typed error at every call site — historically some
-        // sites ignored `HIC_ENGINE=sharded:x` and others panicked.
+        // sites ignored a malformed `HIC_ENGINE` and others panicked.
         let env_err = |e: crate::request::RequestError| -> ! { panic!("{e}") };
         let mode = self.check.unwrap_or_else(|| {
             if self.env_fallback {

@@ -29,11 +29,12 @@
 //!
 //! The next core is picked either by an O(ncores) scan
 //! ([`Scheduler::Linear`], the reference) or from binary heaps keyed by
-//! `(local time, core id)` ([`Scheduler::Heap`], the default) — O(log
-//! ncores) per op. The run heap has one entry per core with queued ops,
-//! and such a core's clock only advances when it executes (which pops
-//! the entry), so entries are never stale; the op-less heap is cleaned
-//! lazily.
+//! `(local time, core id)` — O(log ncores) per op. The heap picker is
+//! the fallback of [`Scheduler::Local`] for machines the local-retire
+//! engine (`crate::sharded`) cannot serve. The run heap has one entry
+//! per core with queued ops, and such a core's clock only advances when
+//! it executes (which pops the entry), so entries are never stale; the
+//! op-less heap is cleaned lazily.
 //!
 //! # Batched transport
 //!
@@ -121,45 +122,42 @@ impl Transport {
     }
 }
 
-/// How the engine picks the next core to execute.
+/// Which execution engine drives a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Scan all cores for the minimum `(time, core)` — O(ncores) per op.
-    /// The reference implementation the heap must match exactly.
+    /// The test oracle: the sequential single-lock engine picking the
+    /// next core by scanning all cores for the minimum `(time, core)` —
+    /// O(ncores) per op. Every other engine must match it exactly.
     Linear,
-    /// Binary heaps keyed by `(time, core)` — O(log ncores) per op.
+    /// The default. Local retire: core-local ops (L1 hits, computes,
+    /// epoch markers) retire on the issuing thread against the core's
+    /// own slot without any global lock; everything that touches the
+    /// shared hierarchy synchronizes through a global event domain that
+    /// replays exactly the sequential `(time, core)` key order, so
+    /// simulated results are bit-identical to [`Scheduler::Linear`] (see
+    /// `crate::sharded` and `tests/prop_scheduler.rs`). Machines local
+    /// retire cannot serve (coherent backends, an attached sanitizer, a
+    /// fault plan, or tracing — see `Machine::supports_sharding`) fall
+    /// back to the sequential engine with an O(log ncores) heap picker.
     #[default]
-    Heap,
-    /// Bank-parallel conservative PDES: cores are partitioned over
-    /// `shards` event domains that run concurrently on host threads.
-    /// Core-local ops (L1 hits, computes, epoch markers) retire inside
-    /// the issuing thread's shard without any global lock; everything
-    /// that touches the shared hierarchy synchronizes through a global
-    /// event domain that replays exactly the sequential `(time, core)`
-    /// key order, so simulated results are bit-identical to
-    /// [`Scheduler::Linear`] (see `crate::sharded` and
-    /// `tests/prop_scheduler.rs`). `shards = 0` means "one per host
-    /// core"; the count is clamped to `[1, nthreads]`. Machines the
-    /// fast path cannot shard (coherent backends, an attached sanitizer,
-    /// a fault plan, or tracing — see `Machine::supports_sharding`)
-    /// transparently serialize through the sequential heap engine.
-    Sharded { shards: usize },
+    Local,
 }
 
 impl Scheduler {
-    /// Parse a `HIC_ENGINE` value: `linear`, `heap`, `sharded` (one
-    /// shard per host core), or `sharded:N`.
+    /// Parse a `HIC_ENGINE` value: `linear` or `local`.
     pub fn parse(s: &str) -> Option<Scheduler> {
         match s.trim().to_ascii_lowercase().as_str() {
             "linear" => Some(Scheduler::Linear),
-            "heap" => Some(Scheduler::Heap),
-            "sharded" => Some(Scheduler::Sharded { shards: 0 }),
-            other => {
-                let n = other.strip_prefix("sharded:")?;
-                n.parse::<usize>()
-                    .ok()
-                    .map(|shards| Scheduler::Sharded { shards })
-            }
+            "local" => Some(Scheduler::Local),
+            _ => None,
+        }
+    }
+
+    /// The canonical name [`Scheduler::parse`] accepts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scheduler::Linear => "linear",
+            Scheduler::Local => "local",
         }
     }
 }
@@ -190,10 +188,10 @@ struct EngineCore {
     /// queued with `needs_reply = false`; individually sent ops (except
     /// `Finish`) with `true`.
     queue: Vec<VecDeque<(Op, bool)>>,
-    /// Under [`Scheduler::Heap`]: one entry per `HasOp` core, keyed by
-    /// its current local time. Never stale.
+    /// Heap picker (under [`Scheduler::Local`]): one entry per `HasOp`
+    /// core, keyed by its current local time. Never stale.
     run_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// Under [`Scheduler::Heap`]: entries for `NeedsOp` cores, keyed by
+    /// Heap picker: entries for `NeedsOp` cores, keyed by
     /// the clock at which they became op-less. Cleaned lazily: an entry
     /// is valid while its core is still `NeedsOp` at that exact time.
     idle_heap: BinaryHeap<Reverse<(Cycle, usize)>>,
@@ -230,14 +228,9 @@ pub(crate) const WALL_CHECK_PERIOD: u32 = 1024;
 impl EngineCore {
     fn new(machine: Machine, shared: &RtShared) -> EngineCore {
         let nthreads = shared.nthreads;
-        // A sharded run that cannot shard (see `EngineShared::new`)
-        // serializes through the default heap picker.
-        let scheduler = match shared.scheduler {
-            Scheduler::Sharded { .. } => Scheduler::Heap,
-            s => s,
-        };
+        let scheduler = shared.scheduler;
         let mut idle_heap = BinaryHeap::with_capacity(nthreads + 4);
-        if scheduler == Scheduler::Heap {
+        if scheduler == Scheduler::Local {
             // Every core starts op-less at time 0.
             for c in 0..nthreads {
                 idle_heap.push(Reverse((0, c)));
@@ -294,7 +287,7 @@ impl EngineCore {
             self.state[c] = CoreState::HasOp;
             self.needs_op -= 1;
             self.has_op += 1;
-            if self.scheduler == Scheduler::Heap {
+            if self.scheduler == Scheduler::Local {
                 // The core's idle_heap entry goes stale and is dropped
                 // lazily by `executable`.
                 self.run_heap.push(Reverse((self.time[c], c)));
@@ -306,7 +299,7 @@ impl EngineCore {
     fn set_needs_op(&mut self, c: usize) {
         self.state[c] = CoreState::NeedsOp;
         self.needs_op += 1;
-        if self.scheduler == Scheduler::Heap {
+        if self.scheduler == Scheduler::Local {
             self.idle_heap.push(Reverse((self.time[c], c)));
         }
     }
@@ -315,7 +308,7 @@ impl EngineCore {
     /// queued and it precedes the clock of every op-less core.
     fn executable(&mut self) -> bool {
         match self.scheduler {
-            Scheduler::Heap => {
+            Scheduler::Local => {
                 let Some(&Reverse(run)) = self.run_heap.peek() else {
                     return false;
                 };
@@ -344,16 +337,13 @@ impl EngineCore {
                     (Some(r), Some(i)) => r < i,
                 }
             }
-            Scheduler::Sharded { .. } => {
-                unreachable!("sharded scheduler maps to Heap in EngineCore::new")
-            }
         }
     }
 
     /// The `HasOp` core with the smallest `(time, core)`.
     fn pick(&mut self) -> usize {
         match self.scheduler {
-            Scheduler::Heap => {
+            Scheduler::Local => {
                 let Reverse((t, c)) = self.run_heap.pop().expect("executable implies a run entry");
                 debug_assert_eq!(self.state[c], CoreState::HasOp, "stale run_heap entry");
                 debug_assert_eq!(self.time[c], t, "run_heap entry out of date");
@@ -363,9 +353,6 @@ impl EngineCore {
                 .filter(|&c| self.state[c] == CoreState::HasOp)
                 .min_by_key(|&c| (self.time[c], c))
                 .expect("executable implies a HasOp core"),
-            Scheduler::Sharded { .. } => {
-                unreachable!("sharded scheduler maps to Heap in EngineCore::new")
-            }
         }
     }
 
@@ -396,7 +383,7 @@ impl EngineCore {
                     if self.queue[c].is_empty() {
                         self.has_op -= 1;
                         self.set_needs_op(c);
-                    } else if self.scheduler == Scheduler::Heap {
+                    } else if self.scheduler == Scheduler::Local {
                         self.run_heap.push(Reverse((end, c)));
                     }
                 }
@@ -492,26 +479,21 @@ impl EngineCore {
 }
 
 /// The engine handle shared by all thread contexts of one run: either
-/// the sequential single-lock engine or the bank-parallel sharded one.
+/// the sequential single-lock engine or the local-retire one.
 /// `ThreadCtx` only ever calls `submit` / `submit_await` / `mark_dead`,
 /// so the two implementations are interchangeable behind this enum.
 pub(crate) enum EngineShared {
     Seq(SeqEngine),
-    Sharded(crate::sharded::ShardedEngine),
+    Local(crate::sharded::LocalEngine),
 }
 
 impl EngineShared {
     fn new(machine: Machine, shared: &RtShared) -> EngineShared {
-        if let Scheduler::Sharded { shards } = shared.scheduler {
-            if machine.supports_sharding() {
-                return EngineShared::Sharded(crate::sharded::ShardedEngine::new(
-                    machine, shared, shards,
-                ));
-            }
-            // Checker, fault plan, tracing, or a coherent backend: the
-            // core-local fast path would change observable order, so the
-            // whole run serializes through the sequential engine (the
-            // scheduler maps to `Heap` in `EngineCore::new`).
+        // Checker, fault plan, tracing, or a coherent backend: the
+        // core-local fast path would change observable order, so the
+        // whole run serializes through the sequential heap engine.
+        if shared.scheduler == Scheduler::Local && machine.supports_sharding() {
+            return EngineShared::Local(crate::sharded::LocalEngine::new(machine, shared));
         }
         EngineShared::Seq(SeqEngine::new(machine, shared))
     }
@@ -519,34 +501,35 @@ impl EngineShared {
     pub(crate) fn submit(&self, c: usize, msg: Op) {
         match self {
             EngineShared::Seq(e) => e.submit(c, msg),
-            EngineShared::Sharded(e) => e.submit(c, msg),
+            EngineShared::Local(e) => e.submit(c, msg),
         }
     }
 
     pub(crate) fn submit_await(&self, c: usize, op: Op) -> Option<Word> {
         match self {
             EngineShared::Seq(e) => e.submit_await(c, op),
-            EngineShared::Sharded(e) => e.submit_await(c, op),
+            EngineShared::Local(e) => e.submit_await(c, op),
         }
     }
 
     pub(crate) fn mark_dead(&self, err: RunError) {
         match self {
             EngineShared::Seq(e) => e.mark_dead(err),
-            EngineShared::Sharded(e) => e.mark_dead(err),
+            EngineShared::Local(e) => e.mark_dead(err),
         }
     }
 
     fn await_completion(&self) -> Option<RunError> {
         match self {
             EngineShared::Seq(e) => e.await_completion(),
-            EngineShared::Sharded(e) => e.await_completion(),
+            EngineShared::Local(e) => e.await_completion(),
         }
     }
 }
 
-/// The single-lock cooperative engine (`Scheduler::Linear` / `Heap`):
-/// submitting threads drive execution under one mutex.
+/// The single-lock cooperative engine (`Scheduler::Linear`, and the
+/// fallback of `Scheduler::Local`): submitting threads drive execution
+/// under one mutex.
 pub(crate) struct SeqEngine {
     core: Mutex<EngineCore>,
     /// One condvar per core: its thread blocks here awaiting a reply.
@@ -632,6 +615,7 @@ impl SeqEngine {
             self.die(g, err);
         }
         g.enqueue(c, op);
+        let mut slept = false;
         loop {
             // Check death *before* consuming a reply: when Strict
             // checking kills the run at this core's own faulty access,
@@ -651,6 +635,10 @@ impl SeqEngine {
             if g.deadlocked() {
                 let err = g.deadlock_error();
                 self.die(g, err);
+            }
+            if !slept {
+                slept = true;
+                g.stats.handoffs += 1;
             }
             g.waiting[c] = true;
             g = self.cvs[c].wait(g).unwrap_or_else(|e| e.into_inner());
@@ -757,7 +745,7 @@ where
             stats.engine = core.stats;
             (core.machine, stats, error)
         }
-        EngineShared::Sharded(sh) => sh.teardown(error),
+        EngineShared::Local(local) => local.teardown(error),
     }
 }
 
@@ -866,12 +854,13 @@ mod tests {
             });
             stats
         };
-        let heap = run(Scheduler::Heap);
+        let local = run(Scheduler::Local);
         let linear = run(Scheduler::Linear);
-        assert_eq!(heap.total_cycles, linear.total_cycles);
-        assert_eq!(heap.ledgers, linear.ledgers);
-        assert_eq!(heap.traffic, linear.traffic);
-        assert_eq!(heap.engine.ops_executed, linear.engine.ops_executed);
+        assert!(local.engine.shard_local_ops > 0, "local retire engaged");
+        assert_eq!(local.total_cycles, linear.total_cycles);
+        assert_eq!(local.ledgers, linear.ledgers);
+        assert_eq!(local.traffic, linear.traffic);
+        assert_eq!(local.engine.ops_executed, linear.engine.ops_executed);
     }
 
     #[test]

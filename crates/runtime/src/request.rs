@@ -18,7 +18,7 @@
 //! * [`RunRequest::new`] for explicit construction;
 //! * [`RunRequest::from_env`] for the historical env-knob behavior,
 //!   now parsed in exactly one place with typed [`RequestError`]s
-//!   (a malformed `HIC_ENGINE=sharded:x` fails loudly and identically
+//!   (a malformed `HIC_ENGINE=warp` fails loudly and identically
 //!   at every call site instead of being silently ignored at some and
 //!   panicking at others);
 //! * [`RunRequest::parse_key`] to rebuild a request from its canonical
@@ -210,8 +210,10 @@ pub struct RunRequest {
     pub check: CheckMode,
     /// Seeded fault plan, if any (subsumes `HIC_FAULTS`).
     pub fault: Option<FaultSpec>,
-    /// Engine/scheduler choice; `None` = the default
-    /// [`Scheduler::Heap`] (subsumes `HIC_ENGINE`).
+    /// Engine choice; `None` = the default [`Scheduler::Local`], which
+    /// retires core-local ops on the issuing thread whenever the machine
+    /// admits it and otherwise falls back to the sequential engine
+    /// (subsumes `HIC_ENGINE`).
     pub engine: Option<Scheduler>,
     /// Plan substitutions from a static optimizer (`hic-lint`),
     /// installed at matching call sites (subsumes `App::run_with`).
@@ -247,7 +249,7 @@ impl RunRequest {
     /// whose check mode, fault seed, engine, and bench budget come from
     /// `HIC_CHECK`, `HIC_FAULTS`, `HIC_ENGINE`, and
     /// `HIC_BENCH_BUDGET_MS`. Malformed values are typed errors — every
-    /// call site now rejects `HIC_ENGINE=sharded:x` with the same
+    /// call site now rejects `HIC_ENGINE=warp` with the same
     /// message instead of silently running the default engine.
     /// `HIC_RECOVER=1` upgrades the `HIC_FAULTS` seed from the canned
     /// recoverable plan to the corrupting-with-rollback plan: dirty-line
@@ -475,14 +477,8 @@ fn check_key(mode: CheckMode) -> &'static str {
     }
 }
 
-fn engine_key(engine: Option<Scheduler>) -> String {
-    match engine {
-        None => "-".to_string(),
-        Some(Scheduler::Linear) => "linear".to_string(),
-        Some(Scheduler::Heap) => "heap".to_string(),
-        Some(Scheduler::Sharded { shards: 0 }) => "sharded".to_string(),
-        Some(Scheduler::Sharded { shards }) => format!("sharded:{shards}"),
-    }
+fn engine_key(engine: Option<Scheduler>) -> &'static str {
+    engine.map_or("-", Scheduler::name)
 }
 
 // Plan-override encoding: `-` for none, else `|`-separated site entries
@@ -618,13 +614,12 @@ pub mod env {
         })
     }
 
-    /// Parse a `HIC_ENGINE`-shaped value: `linear`, `heap`, `sharded`,
-    /// or `sharded:N`.
+    /// Parse a `HIC_ENGINE`-shaped value: `linear` or `local`.
     pub fn parse_engine(v: &str) -> Result<Scheduler, RequestError> {
         Scheduler::parse(v).ok_or_else(|| RequestError::BadEnv {
             var: "HIC_ENGINE",
             value: v.to_string(),
-            expected: "linear|heap|sharded[:N]",
+            expected: "linear|local",
         })
     }
 
@@ -669,7 +664,7 @@ pub mod env {
             .map(|o| o.unwrap_or(false))
     }
 
-    /// `HIC_ENGINE`: `linear`, `heap`, `sharded`, or `sharded:N`.
+    /// `HIC_ENGINE`: `linear` or `local`.
     pub fn engine() -> Result<Option<Scheduler>, RequestError> {
         var("HIC_ENGINE").map(|v| parse_engine(&v)).transpose()
     }
@@ -736,7 +731,7 @@ mod tests {
         let mut req = RunRequest::new("Jacobi", Config::Inter(InterConfig::AddrL), Scale::Medium);
         req.check = CheckMode::Strict;
         req.fault = Some(FaultSpec::Corrupting { seed: 7 });
-        req.engine = Some(Scheduler::Sharded { shards: 4 });
+        req.engine = Some(Scheduler::Linear);
         req.watchdog_cycles = Some(1_000_000);
         req.watchdog_wall_ms = Some(30_000);
         req.budget_ms = Some(200);
@@ -807,16 +802,23 @@ mod tests {
             RunRequest::parse_key(&key),
             Err(RequestError::BadKey { field: "scale", .. })
         ));
-        let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
-            .cache_key()
-            .replace("engine=-", "engine=warp");
-        assert!(matches!(
-            RunRequest::parse_key(&key),
-            Err(RequestError::BadKey {
-                field: "engine",
-                ..
-            })
-        ));
+        // The retired engine spellings are rejected like any other
+        // unknown engine.
+        for engine in ["warp", "heap", "sharded", "sharded:4"] {
+            let key = RunRequest::new("FFT", Config::Intra(IntraConfig::Base), Scale::Test)
+                .cache_key()
+                .replace("engine=-", &format!("engine={engine}"));
+            assert!(
+                matches!(
+                    RunRequest::parse_key(&key),
+                    Err(RequestError::BadKey {
+                        field: "engine",
+                        ..
+                    })
+                ),
+                "{engine}"
+            );
+        }
     }
 
     #[test]
@@ -827,23 +829,23 @@ mod tests {
         // `tests/serve_api.rs`, which owns its process env.
         assert_eq!(env::parse_check_mode("report"), Ok(CheckMode::Report));
         assert_eq!(env::parse_fault_seed(" 42 "), Ok(42));
-        assert_eq!(
-            env::parse_engine("sharded:2"),
-            Ok(Scheduler::Sharded { shards: 2 })
-        );
+        assert_eq!(env::parse_engine("local"), Ok(Scheduler::Local));
+        assert_eq!(env::parse_engine(" Linear "), Ok(Scheduler::Linear));
         assert_eq!(env::parse_bench_budget_ms("50"), Ok(50));
 
-        let err = env::parse_engine("sharded:x").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RequestError::BadEnv {
-                    var: "HIC_ENGINE",
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        for retired in ["heap", "sharded", "sharded:2", "sharded:x"] {
+            let err = env::parse_engine(retired).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RequestError::BadEnv {
+                        var: "HIC_ENGINE",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
         assert!(env::parse_check_mode("loud").is_err());
         assert!(env::parse_fault_seed("abc").is_err());
         assert!(env::parse_bench_budget_ms("fast").is_err());

@@ -1,4 +1,5 @@
-//! Bank-parallel conservative PDES engine (`Scheduler::Sharded`).
+//! Local-retire conservative PDES engine (`Scheduler::Local`, the
+//! default for every machine that `Machine::supports_sharding` admits).
 //!
 //! The sequential engine (`crate::engine`) executes every op under one
 //! mutex in nondecreasing `(local time, core id)` key order. Profiling
@@ -15,24 +16,23 @@
 //!
 //! This engine splits execution into two kinds of event domain:
 //!
-//! * **Shards** — the cores are partitioned core `c` → shard
-//!   `c % shards`. Each shard is a mutex around the per-core
-//!   `PartSlot`s of its cores, holding the detachable
-//!   [`CoreSlice`] (L1 + MEB + IEB, checked out of the machine at
-//!   start-up), a private stall ledger, the core's clock, and local
-//!   counters. A thread executing a core-local op takes only its own
-//!   shard's lock: threads in different shards proceed fully in
-//!   parallel, and even same-shard threads only contend on a spinless
-//!   mutex for a few dozen nanoseconds per op.
+//! * **Per-core slots** — one mutex per core around its `PartSlot`:
+//!   the detachable [`CoreSlice`] (L1 + MEB + IEB, checked out of the
+//!   machine at start-up), a private stall ledger, the core's clock, and
+//!   local counters. Only the core's own thread ever takes its slot
+//!   lock, so a core-local op retires on the issuing thread with one
+//!   uncontended lock and no hand-off: threads proceed fully in
+//!   parallel.
 //! * **The global domain** — one mutex around the [`Machine`] plus the
 //!   scheduler bookkeeping. Every op that touches shared state (cache
 //!   misses, uncached accesses, WB/INV, synchronization, `Finish`)
 //!   is *presented* to the global domain and executed by the classic
 //!   conservative rule: the earliest pending `(time, core)` key runs
-//!   only once no shard-local core could still present an earlier one.
+//!   only once no locally retiring core could still present an earlier
+//!   one.
 //!
 //! The conservative bound is communicated through per-core `published`
-//! clocks (atomics written by shard threads) and a `wait_min` atomic
+//! clocks (atomics written by the app threads) and a `wait_min` atomic
 //! (written by the global driver): a local thread that advances its
 //! clock past `wait_min` takes the global lock and drives, using the
 //! Dekker-style store-then-load protocol on SeqCst atomics so a wakeup
@@ -49,10 +49,10 @@
 //! property suite (`tests/prop_scheduler.rs`) and the golden-equivalence
 //! suite pin this.
 //!
-//! Machines the fast path cannot shard — coherent backends, an attached
+//! Machines local retire cannot serve — coherent backends, an attached
 //! sanitizer, a fault plan, tracing — never reach this module: the
 //! facade in `crate::engine` serializes them through the sequential
-//! engine (checking "serializes through the global domain" by
+//! heap engine (checking "serializes through the global domain" by
 //! construction).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -61,7 +61,7 @@ use std::time::Instant;
 
 use hic_machine::{CoreSlice, Exec, Machine, Op, RunError, RunStats};
 use hic_mem::Word;
-use hic_sim::{CoreId, Cycle, EngineStats, ShardStats, StallCategory, StallLedger};
+use hic_sim::{CoreId, Cycle, EngineStats, StallCategory, StallLedger};
 
 use crate::ctx::RtShared;
 use crate::engine::{EngineDead, WALL_CHECK_PERIOD};
@@ -69,10 +69,10 @@ use crate::engine::{EngineDead, WALL_CHECK_PERIOD};
 /// A core's scheduling state as seen by the global domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
-    /// The core's thread is executing local ops inside its shard (or
-    /// host code between ops); its `published` clock bounds the key of
-    /// whatever it presents next. Equivalent to the sequential engine's
-    /// `NeedsOp`: later-keyed pending ops must wait for it.
+    /// The core's thread is retiring local ops against its slot (or
+    /// running host code between ops); its `published` clock bounds the
+    /// key of whatever it presents next. Equivalent to the sequential
+    /// engine's `NeedsOp`: later-keyed pending ops must wait for it.
     Local,
     /// The core has presented a global op that has not executed yet.
     Queued,
@@ -82,8 +82,9 @@ enum Status {
     Done,
 }
 
-/// Per-core state owned by a shard: the detachable machine slice plus
-/// everything the local fast path needs without the global lock.
+/// Per-core state owned by the core's thread: the detachable machine
+/// slice plus everything the local fast path needs without the global
+/// lock.
 struct PartSlot {
     /// The core's L1/MEB/IEB, checked out of the machine. `None` while
     /// the core is presenting a global op (the slice is then attached
@@ -98,7 +99,7 @@ struct PartSlot {
     messages: u64,
     batches: u64,
     round_trips: u64,
-    /// Ops routed through the global domain (cross-shard messages).
+    /// Ops routed through the global domain.
     global_ops: u64,
     /// Global-lock acquisitions that found the lock held.
     lock_waits: u64,
@@ -155,13 +156,15 @@ struct GlobalState {
     wakeups: u64,
     peak_parked: u64,
     lookahead_stalls: u64,
+    handoffs: u64,
 }
 
-/// The sharded engine handle (see the module docs for the protocol).
-pub(crate) struct ShardedEngine {
-    /// `shards[s]` owns the slots of cores `c` with `c % nshards == s`,
-    /// at slot index `c / nshards`.
-    shards: Vec<Mutex<Vec<PartSlot>>>,
+/// The local-retire engine handle (see the module docs for the
+/// protocol).
+pub(crate) struct LocalEngine {
+    /// `slots[c]` is core `c`'s slot; only core `c`'s thread (and
+    /// teardown) ever locks it.
+    slots: Vec<Mutex<PartSlot>>,
     global: Mutex<GlobalState>,
     /// Per-core published clocks: the conservative bound. A `Local`
     /// core's next op can only carry a key `>= (published[c], c)`.
@@ -177,7 +180,6 @@ pub(crate) struct ShardedEngine {
     /// op waits for the conservative bound.
     cvs: Vec<Condvar>,
     cv_main: Condvar,
-    nshards: usize,
     /// L1 round-trip latency, the only timing the local path needs.
     l1_rt: u64,
     /// Watchdogs, immutable after construction so the local path can
@@ -187,31 +189,24 @@ pub(crate) struct ShardedEngine {
     deadline: Option<Instant>,
 }
 
-impl ShardedEngine {
-    pub(crate) fn new(mut machine: Machine, shared: &RtShared, shards: usize) -> ShardedEngine {
+impl LocalEngine {
+    pub(crate) fn new(mut machine: Machine, shared: &RtShared) -> LocalEngine {
         let n = shared.nthreads;
-        let nshards = if shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            shards
-        }
-        .clamp(1, n);
         let l1_rt = machine.config().l1_rt;
         let watchdog_cycles = shared.watchdog_cycles;
         let deadline = shared
             .watchdog_wall_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-        let mut slots: Vec<Vec<PartSlot>> = (0..nshards).map(|_| Vec::new()).collect();
-        for c in 0..n {
-            let slice = machine
-                .detach_core(CoreId(c))
-                .expect("supports_sharding implies detachable cores");
-            slots[c % nshards].push(PartSlot::new(slice));
-        }
-        ShardedEngine {
-            shards: slots.into_iter().map(Mutex::new).collect(),
+        let slots = (0..n)
+            .map(|c| {
+                let slice = machine
+                    .detach_core(CoreId(c))
+                    .expect("supports_sharding implies detachable cores");
+                Mutex::new(PartSlot::new(slice))
+            })
+            .collect();
+        LocalEngine {
+            slots,
             global: Mutex::new(GlobalState {
                 machine,
                 status: vec![Status::Local; n],
@@ -234,27 +229,21 @@ impl ShardedEngine {
                 wakeups: 0,
                 peak_parked: 0,
                 lookahead_stalls: 0,
+                handoffs: 0,
             }),
             published: (0..n).map(|_| AtomicU64::new(0)).collect(),
             wait_min: AtomicU64::new(u64::MAX),
             dead: AtomicBool::new(false),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             cv_main: Condvar::new(),
-            nshards,
             l1_rt,
             watchdog_cycles,
             deadline,
         }
     }
 
-    fn slot_of(&self, c: usize) -> usize {
-        c / self.nshards
-    }
-
-    fn lock_shard(&self, c: usize) -> MutexGuard<'_, Vec<PartSlot>> {
-        self.shards[c % self.nshards]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn lock_slot(&self, c: usize) -> MutexGuard<'_, PartSlot> {
+        self.slots[c].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Lock the global domain, counting a contention miss against the
@@ -348,23 +337,22 @@ impl ShardedEngine {
         match msg {
             Op::Batch(ops) => {
                 debug_assert!(!ops.is_empty(), "empty batch message");
-                let mut g = self.lock_shard(c);
-                let si = self.slot_of(c);
-                g[si].messages += 1;
-                g[si].batches += 1;
+                let mut g = self.lock_slot(c);
+                g.messages += 1;
+                g.batches += 1;
                 for op in ops {
                     debug_assert!(op.is_batchable(), "non-batchable op in batch: {op:?}");
                     g = self.run_op(c, g, op, false).1;
                 }
             }
             Op::Finish => {
-                let mut g = self.lock_shard(c);
-                g[self.slot_of(c)].messages += 1;
+                let mut g = self.lock_slot(c);
+                g.messages += 1;
                 self.present_finish(c, g);
             }
             op => {
-                let mut g = self.lock_shard(c);
-                g[self.slot_of(c)].messages += 1;
+                let mut g = self.lock_slot(c);
+                g.messages += 1;
                 drop(self.run_op(c, g, op, false));
             }
         }
@@ -376,24 +364,23 @@ impl ShardedEngine {
         if self.dead.load(SeqCst) {
             self.die_latched();
         }
-        let mut g = self.lock_shard(c);
-        g[self.slot_of(c)].messages += 1;
+        let mut g = self.lock_slot(c);
+        g.messages += 1;
         self.run_op(c, g, op, true).0
     }
 
-    /// Execute one op for core `c`: locally inside the shard when the
+    /// Execute one op for core `c`: locally against its slot when the
     /// core slice can retire it, otherwise through the global domain.
-    /// Takes and returns the shard guard so batch members run without
+    /// Takes and returns the slot guard so batch members run without
     /// re-locking in the common all-local case.
     fn run_op<'a>(
         &'a self,
         c: usize,
-        mut g: MutexGuard<'a, Vec<PartSlot>>,
+        mut g: MutexGuard<'a, PartSlot>,
         op: Op,
         needs_reply: bool,
-    ) -> (Option<Word>, MutexGuard<'a, Vec<PartSlot>>) {
-        let si = self.slot_of(c);
-        let slot = &mut g[si];
+    ) -> (Option<Word>, MutexGuard<'a, PartSlot>) {
+        let slot = &mut *g;
         let slice = slot
             .slice
             .as_mut()
@@ -442,13 +429,12 @@ impl ShardedEngine {
             // driver's wait_min-store / published-load) check whether
             // the global domain was waiting for this core to get past a
             // blocked pending key — if so, take the global lock and
-            // drive it forward. Holding the shard guard here is fine:
-            // shard -> global is the legal lock order and the driver
-            // never touches shards.
+            // drive it forward. Holding the slot guard here is fine:
+            // slot -> global is the legal lock order and the driver
+            // never touches slots.
             self.published[c].store(now, SeqCst);
             if now >= self.wait_min.load(SeqCst) {
-                let slot = &mut g[si];
-                let mut gg = self.lock_global(&mut slot.lock_waits);
+                let mut gg = self.lock_global(&mut g.lock_waits);
                 self.drive(&mut gg);
                 let flushed = gg.dead.clone();
                 self.flush_wakes(&mut gg);
@@ -462,33 +448,26 @@ impl ShardedEngine {
         self.present_global(c, g, op, needs_reply)
     }
 
-    /// Route `op` through the global domain: attach the core's slice to
-    /// the machine, enqueue the op at the core's current clock, drive,
-    /// and wait until the driver executes it (in conservative key
-    /// order), then take the slice back. The shard guard is dropped for
-    /// the whole wait — holding it would stop same-shard cores from
-    /// advancing their clocks, which global progress may require.
-    fn present_global<'a>(
+    /// Hand core `c`'s slice to the machine, queue `op` at the core's
+    /// clock in the global domain, and drive. The slot guard stays held
+    /// throughout (only this thread ever takes it, and slot -> global is
+    /// the legal lock order), so no other lock is needed to give the
+    /// slice back afterwards.
+    fn enqueue_global<'a>(
         &'a self,
         c: usize,
-        mut g: MutexGuard<'a, Vec<PartSlot>>,
+        slot: &mut PartSlot,
         op: Op,
         needs_reply: bool,
-    ) -> (Option<Word>, MutexGuard<'a, Vec<PartSlot>>) {
-        let si = self.slot_of(c);
-        let slot = &mut g[si];
+    ) -> MutexGuard<'a, GlobalState> {
         slot.global_ops += 1;
-        let now = slot.time;
         let slice = slot
             .slice
             .take()
             .expect("thread owns its slice between ops");
-        let mut lock_waits = 0;
-        drop(g);
-
-        let mut gg = self.lock_global(&mut lock_waits);
+        let mut gg = self.lock_global(&mut slot.lock_waits);
         // Attach before any die path so the slice can never be lost:
-        // from here on the machine owns it until we detach below.
+        // from here on the machine owns it until it is detached again.
         gg.machine.attach_core(CoreId(c), slice);
         if let Some(err) = gg.dead.clone() {
             self.die(gg, err);
@@ -501,29 +480,43 @@ impl ShardedEngine {
         gg.status[c] = Status::Queued;
         gg.locals -= 1;
         gg.queued += 1;
-        gg.gtime[c] = now;
+        gg.gtime[c] = slot.time;
         gg.pending[c] = Some((op, needs_reply));
         self.drive(&mut gg);
+        gg
+    }
+
+    /// Route `op` through the global domain and wait until the driver
+    /// executes it (in conservative key order), then take the slice back
+    /// at the op's end time.
+    fn present_global<'a>(
+        &'a self,
+        c: usize,
+        mut g: MutexGuard<'a, PartSlot>,
+        op: Op,
+        needs_reply: bool,
+    ) -> (Option<Word>, MutexGuard<'a, PartSlot>) {
+        let mut gg = self.enqueue_global(c, &mut g, op, needs_reply);
+        let mut slept = false;
         loop {
             if let Some(err) = gg.dead.clone() {
                 self.die(gg, err);
             }
             if let Some(r) = gg.reply[c].take() {
-                let end = gg.gtime[c];
-                let slice = gg
-                    .machine
-                    .detach_core(CoreId(c))
-                    .expect("sharded machine has detachable cores");
+                g.time = gg.gtime[c];
+                g.slice = Some(
+                    gg.machine
+                        .detach_core(CoreId(c))
+                        .expect("local-retire machine has detachable cores"),
+                );
                 self.flush_wakes(&mut gg);
-                drop(gg);
-                let mut g = self.lock_shard(c);
-                let slot = &mut g[si];
-                slot.lock_waits += lock_waits;
-                slot.slice = Some(slice);
-                slot.time = end;
                 return (r, g);
             }
             self.flush_wakes(&mut gg);
+            if !slept {
+                slept = true;
+                gg.handoffs += 1;
+            }
             gg.waiting[c] = true;
             gg = self.cvs[c].wait(gg).unwrap_or_else(|e| e.into_inner());
             gg.waiting[c] = false;
@@ -534,34 +527,8 @@ impl ShardedEngine {
     /// machine for good (final stats and peeks read it there), and the
     /// thread returns without waiting — the last finisher's `drive`
     /// call drains everything left, exactly like the sequential engine.
-    fn present_finish(&self, c: usize, mut g: MutexGuard<'_, Vec<PartSlot>>) {
-        let si = self.slot_of(c);
-        let slot = &mut g[si];
-        slot.global_ops += 1;
-        let now = slot.time;
-        let slice = slot
-            .slice
-            .take()
-            .expect("thread owns its slice between ops");
-        let mut lock_waits = 0;
-        drop(g);
-
-        let mut gg = self.lock_global(&mut lock_waits);
-        gg.machine.attach_core(CoreId(c), slice);
-        if let Some(err) = gg.dead.clone() {
-            self.die(gg, err);
-        }
-        debug_assert_eq!(
-            gg.status[c],
-            Status::Local,
-            "core presented while not local"
-        );
-        gg.status[c] = Status::Queued;
-        gg.locals -= 1;
-        gg.queued += 1;
-        gg.gtime[c] = now;
-        gg.pending[c] = Some((Op::Finish, false));
-        self.drive(&mut gg);
+    fn present_finish(&self, c: usize, mut g: MutexGuard<'_, PartSlot>) {
+        let mut gg = self.enqueue_global(c, &mut g, Op::Finish, false);
         let dead = gg.dead.clone();
         self.flush_wakes(&mut gg);
         if let Some(err) = dead {
@@ -571,7 +538,8 @@ impl ShardedEngine {
 
     /// The conservative driver: execute pending global ops in
     /// `(time, core)` key order while the bound allows, then publish
-    /// `wait_min` for the shard threads. Must run under the global lock.
+    /// `wait_min` for the locally retiring threads. Must run under the
+    /// global lock.
     fn drive(&self, gg: &mut MutexGuard<'_, GlobalState>) {
         let n = gg.status.len();
         loop {
@@ -730,36 +698,29 @@ impl ShardedEngine {
         RunError::Deadlock { parked, trace_tail }
     }
 
-    /// Reattach every slice still parked in a shard slot, merge the
-    /// shard-local ledgers and counters, and finish the machine.
+    /// Reattach every slice still held by a slot, merge the slot-local
+    /// ledgers and counters, and finish the machine.
     pub(crate) fn teardown(self, error: Option<RunError>) -> (Machine, RunStats, Option<RunError>) {
-        let nshards = self.nshards;
         let mut gg = self.global.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut per_shard = vec![ShardStats::default(); nshards];
         let mut local_ops = 0u64;
         let mut messages = 0u64;
         let mut batches = 0u64;
         let mut round_trips = 0u64;
         let mut global_ops = 0u64;
         let mut lock_waits = 0u64;
-        for (s, shard) in self.shards.into_iter().enumerate() {
-            let slots = shard.into_inner().unwrap_or_else(|e| e.into_inner());
-            for (k, slot) in slots.into_iter().enumerate() {
-                let c = CoreId(k * nshards + s);
-                if let Some(slice) = slot.slice {
-                    gg.machine.attach_core(c, slice);
-                }
-                gg.machine.merge_ledger(c, &slot.ledger);
-                per_shard[s].local_ops += slot.local_ops;
-                per_shard[s].cross_shard_msgs += slot.global_ops;
-                per_shard[s].lock_waits += slot.lock_waits;
-                local_ops += slot.local_ops;
-                messages += slot.messages;
-                batches += slot.batches;
-                round_trips += slot.round_trips;
-                global_ops += slot.global_ops;
-                lock_waits += slot.lock_waits;
+        for (c, slot) in self.slots.into_iter().enumerate() {
+            let slot = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+            let c = CoreId(c);
+            if let Some(slice) = slot.slice {
+                gg.machine.attach_core(c, slice);
             }
+            gg.machine.merge_ledger(c, &slot.ledger);
+            local_ops += slot.local_ops;
+            messages += slot.messages;
+            batches += slot.batches;
+            round_trips += slot.round_trips;
+            global_ops += slot.global_ops;
+            lock_waits += slot.lock_waits;
         }
         let mut stats = if error.is_some() {
             gg.machine.finish_after_failure()
@@ -777,7 +738,7 @@ impl ShardedEngine {
             cross_shard_msgs: global_ops,
             lookahead_stalls: gg.lookahead_stalls,
             lock_waits,
-            per_shard,
+            handoffs: gg.handoffs,
         };
         (gg.machine, stats, error)
     }

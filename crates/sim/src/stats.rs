@@ -124,10 +124,11 @@ impl std::ops::AddAssign for StallLedger {
 /// Host-side bookkeeping of the execution engine that drove a run.
 ///
 /// These are **simulator** metrics, not simulated-machine metrics: they
-/// describe how the scheduler moved ops between the simulated threads and
-/// the machine (channel round-trips, batch coalescing, wakeups), so they
-/// change with the transport configuration while `StallLedger` cycle
-/// counts must not.
+/// describe how the engine moved ops between the simulated threads and
+/// the machine (reply round-trips, batch coalescing, wakeups, local
+/// retirement), so they change with the transport and engine while
+/// `StallLedger` cycle counts must not. All counters are deterministic
+/// except the host-dependent ones marked below.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Machine operations executed, counting each batch member once.
@@ -137,39 +138,36 @@ pub struct EngineStats {
     pub messages: u64,
     /// `Op::Batch` messages among [`EngineStats::messages`].
     pub batches: u64,
-    /// Reply round-trips: ops whose issuing thread blocked on a reply.
+    /// Reply round-trips: ops whose issuing thread waited for a reply
+    /// (value-returning or blocking ops), whether or not it slept.
     pub round_trips: u64,
     /// Wakeups delivered to parked cores.
     pub wakeups: u64,
     /// Maximum number of simultaneously parked cores observed.
     pub peak_parked: u64,
-    /// Ops retired entirely inside a shard's event domain (sharded
-    /// engine only; zero under the sequential schedulers).
+    /// Ops retired on the issuing thread against its core's private
+    /// slot, without the global lock (local-retire engine only; zero on
+    /// the sequential fallback and under `Scheduler::Linear`).
     pub shard_local_ops: u64,
-    /// Ops that had to leave their shard and synchronize through the
-    /// global event domain (sharded engine only).
+    /// Ops the local-retire engine routed through the global event
+    /// domain (local-retire engine only).
     pub cross_shard_msgs: u64,
     /// Times the global domain had a runnable op but had to wait for a
-    /// shard-local core to publish a safe clock first (sharded only).
+    /// locally retiring core to publish a safe clock first (local-retire
+    /// engine only). Host-dependent.
     pub lookahead_stalls: u64,
-    /// Contended acquisitions of the global-domain lock observed by
-    /// shard threads (sharded only; a cheap `try_lock` miss counter).
+    /// Contended acquisitions of the global-domain lock observed by app
+    /// threads (local-retire engine only; a cheap `try_lock` miss
+    /// counter). Host-dependent.
     pub lock_waits: u64,
-    /// Per-shard breakdown of the contention counters above; empty under
-    /// the sequential schedulers.
-    pub per_shard: Vec<ShardStats>,
-}
-
-/// Contention ledger of one shard of the sharded engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Ops retired inside this shard without touching the global domain.
-    pub local_ops: u64,
-    /// Ops this shard's cores routed through the global domain.
-    pub cross_shard_msgs: u64,
-    /// Global-lock acquisitions by this shard's cores that found the
-    /// lock already held.
-    pub lock_waits: u64,
+    /// Hand-offs: ops whose issuing thread actually slept on its condvar
+    /// while another thread executed the op for it (both engines). The
+    /// OS-thread hand-off this counts is the engine's dominant host cost,
+    /// which [`EngineStats::round_trips`] cannot show: a round trip that
+    /// the issuing thread serves itself costs no context switch.
+    /// Host-dependent (it follows the OS scheduler's interleaving);
+    /// always 0 for a single-thread run.
+    pub handoffs: u64,
 }
 
 impl EngineStats {

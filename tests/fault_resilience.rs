@@ -363,21 +363,22 @@ fn second_corruption_during_replay_is_still_a_typed_fatal() {
     assert!(!snap.is_empty());
 }
 
-/// Recovery plans force the sequential engine (PR 7's
-/// `supports_sharding` gate): requesting the sharded scheduler must
+/// Recovery plans force the sequential engine (the
+/// `supports_sharding` gate): the default local-retire engine must
 /// silently fall back, complete, and stay bit-identical.
 #[test]
 fn sharded_engine_request_falls_back_under_recovery_plan() {
     let (_, base_snap) = run_rmw_workload(|_| {});
     let (faulted, snap) = run_rmw_workload(|p| {
         p.fault_plan(FaultPlan::corrupting_recoverable(3));
-        p.scheduler(Scheduler::Sharded { shards: 2 });
+        p.scheduler(Scheduler::Local);
     });
     assert!(
         faulted.result().is_ok(),
-        "sharded+recovery fallback failed: {:?}",
+        "local-retire + recovery fallback failed: {:?}",
         faulted.result()
     );
+    assert_eq!(faulted.stats().engine.shard_local_ops, 0, "fell back");
     assert_eq!(snap, base_snap);
 }
 
