@@ -1,20 +1,34 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! figures table1|table2|table3|storage|fig9|fig10|fig11|fig12|ablation|all
-//!         [--scale test|small|medium|large|paper]
+//! figures table1|table2|table3|storage|fig9|fig10|fig11|fig12|ablation
+//!         |suite|golden|all [--scale test|small|medium|large|paper]
 //! ```
 //!
 //! Output is printed as text tables shaped like the paper's figures;
 //! `EXPERIMENTS.md` records a captured run against the paper's claims.
+//!
+//! The grid targets (`fig9`–`fig12`, `suite`, `golden`, `all`) run the
+//! cells of the evaluation sweep they read once each, through an
+//! in-process `hic-serve` server with one worker per host CPU, with the
+//! `HIC_*` knobs folded into every request; `all` runs the 71 cells
+//! once for all four figures. `suite` prints every cell's verdict,
+//! cycles, host wall time and detail; `golden` prints the
+//! `tests/golden_equivalence.rs` table, always at `--scale test`. A grid
+//! target prints its output, then exits 1 if any cell it simulated
+//! computed a wrong result or failed with a typed error.
+
+use std::process::ExitCode;
+use std::sync::Arc;
 
 use hic_apps::{intra_apps, Scale};
-use hic_bench::parse_scale;
-use hic_bench::{fig10_rows, fig11_rows, fig12_rows, fig9_rows};
+use hic_bench::cli::{parse_scale, sweep_from_env};
+use hic_bench::report::{failures, Table, FIG10, FIG11, FIG12, FIG9, GOLDEN, SUITE};
 use hic_bench::{hop_latency_sweep, ieb_capacity_sweep, meb_capacity_sweep};
 use hic_core::storage::{coherent_storage_bits, incoherent_storage_bits, savings_kb};
 use hic_runtime::{InterConfig, IntraConfig};
-use hic_sim::{MachineConfig, StallCategory};
+use hic_serve::{batch_in_process, job::family};
+use hic_sim::MachineConfig;
 
 fn table1() {
     println!("Table I: communication patterns observed in our applications");
@@ -142,82 +156,6 @@ fn storage() {
     );
 }
 
-fn fig9(scale: Scale) {
-    println!("Figure 9: normalized execution time, intra-block (HCC = 1.00)");
-    println!(
-        "{:-14} {:-6} {:>12} {:>6}  {:>6} {:>6} {:>6} {:>7} {:>6}  ok",
-        "app", "config", "cycles", "norm", "inv", "wb", "lock", "barrier", "rest"
-    );
-    for r in fig9_rows(scale) {
-        println!(
-            "{:-14} {:-6} {:>12} {:>6.2}  {:>6.3} {:>6.3} {:>6.3} {:>7.3} {:>6.3}  {}",
-            r.app,
-            r.config,
-            r.cycles,
-            r.normalized,
-            r.breakdown[0],
-            r.breakdown[1],
-            r.breakdown[2],
-            r.breakdown[3],
-            r.breakdown[4],
-            if r.correct { "yes" } else { "NO" }
-        );
-    }
-    let _ = StallCategory::ALL; // category order documented in hic-sim
-}
-
-fn fig10(scale: Scale) {
-    println!("Figure 10: normalized network traffic, HCC vs B+M+I (flits)");
-    println!(
-        "{:-14} {:-6} {:>10} {:>10} {:>10} {:>12} {:>6}",
-        "app", "config", "memory", "linefill", "writeback", "invalidation", "norm"
-    );
-    for r in fig10_rows(scale) {
-        println!(
-            "{:-14} {:-6} {:>10} {:>10} {:>10} {:>12} {:>6.2}",
-            r.app, r.config, r.flits[0], r.flits[1], r.flits[2], r.flits[3], r.normalized
-        );
-    }
-}
-
-fn fig11(scale: Scale) {
-    println!("Figure 11: global WBs and INVs, Addr+L normalized to Addr");
-    println!(
-        "{:-8} {:>10} {:>10} {:>8} | {:>10} {:>10} {:>8}",
-        "app", "WB(Addr)", "WB(A+L)", "ratio", "INV(Addr)", "INV(A+L)", "ratio"
-    );
-    for r in fig11_rows(scale) {
-        println!(
-            "{:-8} {:>10} {:>10} {:>8.2} | {:>10} {:>10} {:>8.2}",
-            r.app,
-            r.addr_global_wbs,
-            r.addrl_global_wbs,
-            r.wb_ratio,
-            r.addr_global_invs,
-            r.addrl_global_invs,
-            r.inv_ratio
-        );
-    }
-}
-
-fn fig12(scale: Scale) {
-    println!("Figure 12: normalized execution time, inter-block (HCC = 1.00)");
-    println!(
-        "{:-10} {:-6} {:>12} {:>6}  ok",
-        "app", "config", "cycles", "norm"
-    );
-    for r in fig12_rows(scale) {
-        println!(
-            "{:-10} {:-6} {:>12} {:>6.2}  {}",
-            r.app,
-            r.config,
-            r.cycles,
-            r.normalized,
-            if r.correct { "yes" } else { "NO" }
-        );
-    }
-}
-
 fn ablation() {
     println!("Ablation: MEB capacity (B+M, 64 jobs, 8 lines written per CS)");
     println!(
@@ -254,7 +192,45 @@ fn ablation() {
     }
 }
 
-fn main() {
+/// Simulate every sweep cell `tables` read, call `preamble`, print the
+/// tables, then fail if any simulated cell was wrong or failed.
+fn grid(scale: Scale, tables: &[&Table], preamble: fn()) -> ExitCode {
+    let jobs = sweep_from_env(scale)
+        .into_iter()
+        .filter(|r| {
+            let (fam, scheme) = (family(r.config.scheme()), r.config.name());
+            tables.iter().any(|t| (t.reads)(fam, scheme))
+        })
+        .map(|r| (r, 0));
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let outcomes: Vec<Arc<_>> = match batch_in_process(jobs, workers) {
+        Ok(done) => done.into_iter().map(|(o, _)| o).collect(),
+        Err(e) => {
+            eprintln!("figures: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    eprintln!("figures: simulated {} cells", outcomes.len());
+    preamble();
+    for (i, t) in tables.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        print!("{}", (t.render)(&outcomes));
+    }
+    match failures(&outcomes) {
+        0 => ExitCode::SUCCESS,
+        n => {
+            eprintln!(
+                "{n} of {} cells computed wrong results or failed",
+                outcomes.len()
+            );
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = parse_scale(&args, Scale::Small);
     let what = args.first().map(|s| s.as_str()).unwrap_or("all");
@@ -263,33 +239,31 @@ fn main() {
         "table2" => table2(),
         "table3" => table3(),
         "storage" => storage(),
-        "fig9" => fig9(scale),
-        "fig10" => fig10(scale),
-        "fig11" => fig11(scale),
-        "fig12" => fig12(scale),
         "ablation" => ablation(),
+        "fig9" => return grid(scale, &[&FIG9], || {}),
+        "fig10" => return grid(scale, &[&FIG10], || {}),
+        "fig11" => return grid(scale, &[&FIG11], || {}),
+        "fig12" => return grid(scale, &[&FIG12], || {}),
+        "suite" => return grid(scale, &[&SUITE], || {}),
+        "golden" => return grid(Scale::Test, &[&GOLDEN], || {}),
         "all" => {
-            table1();
-            println!();
-            table2();
-            println!();
-            table3();
-            println!();
-            storage();
-            println!();
-            fig9(scale);
-            println!();
-            fig10(scale);
-            println!();
-            fig11(scale);
-            println!();
-            fig12(scale);
+            return grid(scale, &[&FIG9, &FIG10, &FIG11, &FIG12], || {
+                table1();
+                println!();
+                table2();
+                println!();
+                table3();
+                println!();
+                storage();
+                println!();
+            })
         }
         other => {
             eprintln!(
-                "unknown target {other:?}; use table1|table2|table3|storage|fig9|fig10|fig11|fig12|ablation|all"
+                "unknown target {other:?}; use table1|table2|table3|storage|fig9|fig10|fig11|fig12|ablation|suite|golden|all"
             );
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     }
+    ExitCode::SUCCESS
 }

@@ -1,11 +1,15 @@
-//! Shared CLI argument helpers for the bench binaries.
+//! Shared CLI helpers for the bench binaries.
 //!
-//! `suite`, `figures`, and `bench_host` all accept `--scale <name>`;
-//! each used to carry its own three-name copy of the parser, which is
-//! how `medium` and `large` ended up supported nowhere. The one parser
-//! lives here and defers the name set to [`Scale::parse`].
+//! `figures` and `bench_host` both accept `--scale <name>`; each used to
+//! carry its own three-name copy of the parser, which is how `medium`
+//! and `large` ended up supported nowhere. The one parser lives here and
+//! defers the name set to [`Scale::parse`]. [`sweep_from_env`] is the
+//! evaluation sweep with the `HIC_*` environment knobs applied, as both
+//! binaries run it.
 
 use hic_apps::Scale;
+use hic_runtime::RunRequest;
+use hic_serve::sweep_requests;
 
 /// Extract `--scale <name>` from `args`, or `default` when the flag is
 /// absent. Panics with a usage message on an unknown name — the
@@ -22,10 +26,15 @@ pub fn parse_scale(args: &[String], default: Scale) -> Scale {
     }
 }
 
-/// True when `name` is a scale name — the `suite` binary's positional
-/// name filters use this to skip the value consumed by `--scale`.
-pub fn is_scale_name(name: &str) -> bool {
-    Scale::parse(name).is_some()
+/// Every cell of [`sweep_requests`] at `scale`, with the `HIC_CHECK`,
+/// `HIC_FAULTS`, `HIC_RECOVER`, `HIC_ENGINE` and `HIC_BENCH_BUDGET_MS`
+/// knobs folded in ([`RunRequest::from_env`]) — what `App::run` runs.
+/// Panics on a malformed knob, before any cell starts.
+pub fn sweep_from_env(scale: Scale) -> Vec<RunRequest> {
+    sweep_requests(scale)
+        .into_iter()
+        .map(|r| RunRequest::from_env(&r.app, r.config, r.scale).unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Host-performance benchmark: wall-clock and engine-throughput tracking.
 //!
-//! The `bench_host` binary runs the full application suite (every app under
-//! every configuration, like `suite`), times each run on the host clock,
+//! The `bench_host` binary runs the full application suite (every cell of
+//! the evaluation sweep, like `figures suite`, but sequentially on one
+//! thread), times each run on the host clock,
 //! and writes a machine-readable `BENCH_host.json` so the wall-clock
 //! trajectory of the simulator itself is tracked PR over PR. The JSON
 //! records, per run and in aggregate: host wall time, simulated-machine
@@ -13,11 +14,13 @@
 
 use std::time::{Duration, Instant};
 
-use hic_apps::{inter_apps, intra_apps, Scale};
+use hic_apps::{all_apps, inter_apps, AppRun, Scale};
 use hic_machine::{ResilienceStats, TrafficLedger};
-use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, IntraConfig, RunRequest, Scheduler};
+use hic_runtime::{CheckMode, Config, FaultSpec, InterConfig, RunRequest, Scheduler};
+use hic_serve::{job::family, sweep_requests};
 use hic_sim::{EngineStats, Topology, TopologyBuilder};
 
+use crate::cli::sweep_from_env;
 use crate::harness::Timing;
 
 /// One timed (app, configuration) execution.
@@ -326,50 +329,56 @@ impl HostReport {
     }
 }
 
-/// Run the full suite (all apps, all configs) at `scale`, timing each run.
-pub fn run_suite(scale: Scale) -> HostReport {
+/// Run `reqs` one at a time on the calling thread, handing each request,
+/// its run and the run's host wall time to `each`. Returns the wall time
+/// of the whole sweep.
+fn sweep(
+    scale: Scale,
+    reqs: impl IntoIterator<Item = RunRequest>,
+    mut each: impl FnMut(&RunRequest, AppRun, Duration),
+) -> Duration {
     let t0 = Instant::now();
+    let apps = all_apps(scale);
+    for req in reqs {
+        let app = apps
+            .iter()
+            .find(|a| a.name() == req.app)
+            .expect("sweep cells name suite apps");
+        let start = Instant::now();
+        let run = app.run_req(&req);
+        each(&req, run, start.elapsed());
+    }
+    t0.elapsed()
+}
+
+/// The incoherent cells of the sweep — the only ones the sanitizer and
+/// the fault plans attach to.
+fn incoherent_requests(scale: Scale) -> impl Iterator<Item = RunRequest> {
+    sweep_requests(scale)
+        .into_iter()
+        .filter(|r| !r.config.is_coherent())
+}
+
+/// Run the full suite (all apps, all configs) at `scale` with the `HIC_*`
+/// knobs applied, timing each run.
+pub fn run_suite(scale: Scale) -> HostReport {
     let mut runs = Vec::new();
-    for app in intra_apps(scale) {
-        for cfg in IntraConfig::ALL {
-            let start = Instant::now();
-            let r = app.run(Config::Intra(cfg));
-            runs.push(HostRun {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
-                family: "intra",
-                correct: r.correct,
-                cycles: r.stats.total_cycles,
-                wall: start.elapsed(),
-                engine: r.stats.engine.clone(),
-            });
-        }
-    }
-    for app in inter_apps(scale) {
-        for cfg in InterConfig::ALL {
-            let start = Instant::now();
-            let r = app.run(Config::Inter(cfg));
-            runs.push(HostRun {
-                app: app.name().to_string(),
-                config: cfg.name().to_string(),
-                family: "inter",
-                correct: r.correct,
-                cycles: r.stats.total_cycles,
-                wall: start.elapsed(),
-                engine: r.stats.engine.clone(),
-            });
-        }
-    }
+    let wall = sweep(scale, sweep_from_env(scale), |req, r, wall| {
+        runs.push(HostRun {
+            app: req.app.clone(),
+            config: req.config.name().to_string(),
+            family: family(req.config.scheme()),
+            correct: r.correct,
+            cycles: r.stats.total_cycles,
+            wall,
+            engine: r.stats.engine,
+        })
+    });
     HostReport {
         scale: scale.name(),
         runs,
-        timings: Vec::new(),
-        check: None,
-        faults: None,
-        lint: Vec::new(),
-        geometry: Vec::new(),
-        parallel: None,
-        wall: t0.elapsed(),
+        wall,
+        ..HostReport::default()
     }
 }
 
@@ -386,37 +395,21 @@ type RunSignature = (String, String, bool, u64, TrafficLedger);
 /// Sweep the full app suite once under `engine` (`None` = the default),
 /// returning (wall, signatures).
 fn signature_sweep(scale: Scale, engine: Option<Scheduler>) -> (Duration, Vec<RunSignature>) {
-    let t0 = Instant::now();
+    let reqs = sweep_requests(scale).into_iter().map(|mut r| {
+        r.engine = engine;
+        r
+    });
     let mut sigs = Vec::new();
-    for app in intra_apps(scale) {
-        for cfg in IntraConfig::ALL {
-            let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-            req.engine = engine;
-            let r = app.run_req(&req);
-            sigs.push((
-                app.name().to_string(),
-                cfg.name().to_string(),
-                r.correct,
-                r.stats.total_cycles,
-                r.stats.traffic,
-            ));
-        }
-    }
-    for app in inter_apps(scale) {
-        for cfg in InterConfig::ALL {
-            let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-            req.engine = engine;
-            let r = app.run_req(&req);
-            sigs.push((
-                app.name().to_string(),
-                cfg.name().to_string(),
-                r.correct,
-                r.stats.total_cycles,
-                r.stats.traffic,
-            ));
-        }
-    }
-    (t0.elapsed(), sigs)
+    let wall = sweep(scale, reqs, |req, r, _| {
+        sigs.push((
+            req.app.clone(),
+            req.config.name().to_string(),
+            r.correct,
+            r.stats.total_cycles,
+            r.stats.traffic,
+        ))
+    });
+    (wall, sigs)
 }
 
 /// Sweep the suite under the sequential linear oracle and under the
@@ -452,35 +445,18 @@ pub fn run_parallel_suite(scale: Scale) -> ParallelReport {
 /// must stay correct: recoverable faults are absorbed by retries, and
 /// corrupted dirty lines are repaired by epoch-checkpoint rollback.
 pub fn run_fault_suite(scale: Scale, seed: u64) -> FaultOverhead {
-    fn sweep(scale: Scale, fault: Option<FaultSpec>) -> (Duration, bool, ResilienceStats) {
-        let t0 = Instant::now();
+    fn faulted(scale: Scale, fault: Option<FaultSpec>) -> (Duration, bool, ResilienceStats) {
+        let reqs = incoherent_requests(scale).map(|mut r| {
+            r.fault = fault;
+            r
+        });
         let mut correct = true;
         let mut stats = ResilienceStats::default();
-        for app in intra_apps(scale) {
-            for cfg in IntraConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-                req.fault = fault;
-                let r = app.run_req(&req);
-                correct &= r.correct;
-                stats += r.stats.resilience;
-            }
-        }
-        for app in inter_apps(scale) {
-            for cfg in InterConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-                req.fault = fault;
-                let r = app.run_req(&req);
-                correct &= r.correct;
-                stats += r.stats.resilience;
-            }
-        }
-        (t0.elapsed(), correct, stats)
+        let wall = sweep(scale, reqs, |_, r, _| {
+            correct &= r.correct;
+            stats += r.stats.resilience;
+        });
+        (wall, correct, stats)
     }
 
     let mut wall_clean = Duration::MAX;
@@ -491,13 +467,13 @@ pub fn run_fault_suite(scale: Scale, seed: u64) -> FaultOverhead {
     let mut stats = ResilienceStats::default();
     let mut recover_stats = ResilienceStats::default();
     for _ in 0..CHECK_REPS {
-        let (clean, _, _) = sweep(scale, None);
+        let (clean, _, _) = faulted(scale, None);
         wall_clean = wall_clean.min(clean);
-        let (faulted, c, s) = sweep(scale, Some(FaultSpec::Recoverable { seed }));
-        wall_faulted = wall_faulted.min(faulted);
+        let (wall, c, s) = faulted(scale, Some(FaultSpec::Recoverable { seed }));
+        wall_faulted = wall_faulted.min(wall);
         correct = c;
         stats = s;
-        let (recovered, rc, rs) = sweep(scale, Some(FaultSpec::CorruptingRecover { seed }));
+        let (recovered, rc, rs) = faulted(scale, Some(FaultSpec::CorruptingRecover { seed }));
         wall_recovered = wall_recovered.min(recovered);
         recover_correct = rc;
         recover_stats = rs;
@@ -577,35 +553,18 @@ pub fn run_lint_suite(scale: Scale) -> Vec<LintRun> {
 /// growth) inside the off sweep and reported a nonsensical negative
 /// overhead (`overhead_pct: -39.7` in earlier reports).
 pub fn run_check_overhead(scale: Scale) -> CheckOverhead {
-    fn sweep(scale: Scale, check: CheckMode) -> (Duration, u64, bool) {
-        let t0 = Instant::now();
+    fn checked(scale: Scale, check: CheckMode) -> (Duration, u64, bool) {
+        let reqs = incoherent_requests(scale).map(|mut r| {
+            r.check = check;
+            r
+        });
         let mut checks = 0;
         let mut clean = true;
-        for app in intra_apps(scale) {
-            for cfg in IntraConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Intra(cfg), scale);
-                req.check = check;
-                let r = app.run_req(&req);
-                checks += r.diagnostics.checks;
-                clean &= r.diagnostics.is_clean();
-            }
-        }
-        for app in inter_apps(scale) {
-            for cfg in InterConfig::ALL {
-                if cfg.is_coherent() {
-                    continue;
-                }
-                let mut req = RunRequest::new(app.name(), Config::Inter(cfg), scale);
-                req.check = check;
-                let r = app.run_req(&req);
-                checks += r.diagnostics.checks;
-                clean &= r.diagnostics.is_clean();
-            }
-        }
-        (t0.elapsed(), checks, clean)
+        let wall = sweep(scale, reqs, |_, r, _| {
+            checks += r.diagnostics.checks;
+            clean &= r.diagnostics.is_clean();
+        });
+        (wall, checks, clean)
     }
 
     let mut wall_off = Duration::MAX;
@@ -613,9 +572,9 @@ pub fn run_check_overhead(scale: Scale) -> CheckOverhead {
     let mut checks = 0;
     let mut clean = true;
     for _ in 0..CHECK_REPS {
-        let (off, _, _) = sweep(scale, CheckMode::Off);
+        let (off, _, _) = checked(scale, CheckMode::Off);
         wall_off = wall_off.min(off);
-        let (report, c, cl) = sweep(scale, CheckMode::Report);
+        let (report, c, cl) = checked(scale, CheckMode::Report);
         wall_report = wall_report.min(report);
         checks = c;
         clean = cl;

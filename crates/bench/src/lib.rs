@@ -1,10 +1,14 @@
 //! Benchmark and figure-regeneration harness.
 //!
 //! The `figures` binary regenerates every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index); the benches
-//! under `benches/` measure the same workloads under the standard
-//! `cargo bench` flow, using the in-repo wall-clock harness in
-//! [`harness`].
+//! evaluation (see DESIGN.md §4 for the experiment index). Its grid
+//! targets — Figures 9–12, the validated suite table and the golden
+//! dump — are the [`report`] formatters over one list of
+//! `hic_serve::JobOutcome`s from the evaluation sweep
+//! (`hic_serve::sweep_requests`). `bench_host` times the same sweep
+//! run by run on one thread ([`host`]); the `micro_simulator` bench
+//! under `benches/` measures the engine under the standard `cargo bench`
+//! flow, using the in-repo wall-clock harness in [`harness`].
 
 pub mod ablation;
 pub mod cli;
@@ -16,6 +20,3 @@ pub use ablation::{hop_latency_sweep, ieb_capacity_sweep, meb_capacity_sweep, Ab
 pub use cli::parse_scale;
 pub use harness::{bench, bench_with_setup, Timing};
 pub use host::{geometry_grid, run_geometry_matrix, GeometryRun, HostReport, HostRun};
-pub use report::{
-    fig10_rows, fig11_rows, fig12_rows, fig9_rows, Fig10Row, Fig11Row, Fig12Row, Fig9Row,
-};

@@ -149,7 +149,19 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
     let t0 = std::time::Instant::now();
     let rows = match flag_value(args, "--socket") {
         Some(path) => batch_over_socket(&path, &entries)?,
-        None => batch_in_process(args, &entries)?,
+        None => {
+            let jobs = entries
+                .iter()
+                .map(|(key, priority)| {
+                    let req = RunRequest::parse_key(key).map_err(|e| format!("{e}"))?;
+                    Ok((req, *priority))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            figures::batch_in_process(jobs, parse_workers(args)?)?
+                .iter()
+                .map(|(outcome, cached)| outcome.to_json(*cached))
+                .collect()
+        }
     };
 
     let doc = figures::figures_json_rows(&scale_name, rows);
@@ -179,26 +191,6 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Drive the batch through an in-process server: submit everything,
-/// then wait in submission order.
-fn batch_in_process(args: &[String], entries: &[(String, i64)]) -> Result<Vec<Json>, String> {
-    let server = Server::start(parse_workers(args)?, None);
-    let mut ids = Vec::new();
-    for (key, priority) in entries {
-        let req = RunRequest::parse_key(key).map_err(|e| format!("{e}"))?;
-        ids.push(server.submit(req, *priority)?.0);
-    }
-    let rows = ids
-        .iter()
-        .map(|&id| {
-            let (outcome, cached) = server.wait(id).expect("batch jobs are never cancelled");
-            outcome.to_json(cached)
-        })
-        .collect();
-    server.shutdown();
-    Ok(rows)
 }
 
 /// Drive the batch over the socket protocol: submit everything, then

@@ -1,13 +1,18 @@
 //! The paper's full figure set as one queued sweep.
 //!
-//! [`sweep_requests`] enumerates every (app, configuration) cell of the
-//! evaluation — the 11 intra-block apps under all 5 intra schemes plus
-//! the 4 inter-block apps under all 4 inter schemes — as explicit
-//! [`RunRequest`]s. Submitted through the server (socket or in-process)
-//! and collected with [`figures_json`], the outcomes reproduce the data
-//! behind Figures 9, 10, and 12 in one `BENCH_figures.json`:
-//! per-cell cycles, traffic, and correctness, plus execution time
-//! normalized to each app's HCC run (the paper's presentation).
+//! [`sweep_requests`] is the one enumeration of the evaluation grid:
+//! every (app, configuration) cell — the 11 intra-block apps under all
+//! 5 intra schemes plus the 4 inter-block apps under all 4 inter
+//! schemes — as explicit [`RunRequest`]s, in figure order.
+//! [`batch_in_process`] runs a list of them through an in-process
+//! server and returns one [`JobOutcome`] per cell; the socket path of
+//! `hic-serve batch` returns the same outcomes as JSON rows. Every
+//! output over the grid is a formatter over that list:
+//! [`figures_json_rows`] writes `BENCH_figures.json` (per-cell cycles,
+//! traffic, stalls, global WB/INV counts and correctness, plus
+//! execution time normalized to each app's HCC run), and the
+//! `figures` binary of `hic-bench` prints the paper's Figures 9–12,
+//! the validated suite table and the golden dump from it.
 
 use std::sync::Arc;
 
@@ -16,6 +21,7 @@ use hic_runtime::{Config, InterConfig, IntraConfig, RunRequest};
 
 use crate::job::JobOutcome;
 use crate::json::Json;
+use crate::server::Server;
 
 /// Every (app, configuration) cell of the paper's figure set at
 /// `scale`, in figure order.
@@ -32,6 +38,28 @@ pub fn sweep_requests(scale: Scale) -> Vec<RunRequest> {
         }
     }
     reqs
+}
+
+/// Run `jobs` (request, priority) through an in-process server with
+/// `workers` workers: submit everything, then wait in submission order.
+/// Returns each job's outcome and whether it came from the result
+/// cache, in submission order; fails only if a request names an
+/// unknown application.
+pub fn batch_in_process(
+    jobs: impl IntoIterator<Item = (RunRequest, i64)>,
+    workers: usize,
+) -> Result<Vec<(Arc<JobOutcome>, bool)>, String> {
+    let server = Server::start(workers, None);
+    let ids = jobs
+        .into_iter()
+        .map(|(req, priority)| Ok(server.submit(req, priority)?.0))
+        .collect::<Result<Vec<_>, String>>()?;
+    let outcomes = ids
+        .iter()
+        .map(|&id| server.wait(id).expect("batch jobs are never cancelled"))
+        .collect();
+    server.shutdown();
+    Ok(outcomes)
 }
 
 /// Assemble `BENCH_figures.json` from typed outcomes (the in-process

@@ -58,6 +58,14 @@ pub struct JobOutcome {
     /// Flit totals of the run, `[linefill, writeback, invalidation,
     /// memory, l2l3, sync]`.
     pub traffic: [u64; 6],
+    /// The run's stall ledger merged over all cores, in
+    /// `StallCategory::ALL` order `[inv, wb, lock, barrier, rest]` — the
+    /// stacked bars of Figure 9. Zeros when the job never produced a run.
+    pub stalls: [u64; 5],
+    /// Global (cross-block) writebacks the run issued — Figure 11.
+    pub global_wbs: u64,
+    /// Global (cross-block) invalidations the run issued — Figure 11.
+    pub global_invs: u64,
     /// Sanitizer findings observed (0 unless the request asked to check).
     pub findings: u64,
     /// Typed failure tag (`"hang"`, `"corrupt_dirty_line"`, ...), or the
@@ -78,6 +86,7 @@ impl JobOutcome {
     /// Build an outcome from a finished application run.
     pub fn from_app_run(req: &RunRequest, run: &hic_apps::AppRun, wall: Duration) -> JobOutcome {
         let t = &run.stats.traffic;
+        let l = run.stats.merged_ledger();
         JobOutcome {
             key: req.cache_key(),
             app: req.app.clone(),
@@ -95,6 +104,9 @@ impl JobOutcome {
                 t.l2l3,
                 t.sync,
             ],
+            stalls: [l.inv, l.wb, l.lock, l.barrier, l.rest],
+            global_wbs: run.stats.counters.global_wbs,
+            global_invs: run.stats.counters.global_invs,
             findings: run.diagnostics.findings.len() as u64,
             error: run.error.as_ref().map(|e| e.kind().to_string()),
             wall,
@@ -116,6 +128,9 @@ impl JobOutcome {
             detail,
             cycles: 0,
             traffic: [0; 6],
+            stalls: [0; 5],
+            global_wbs: 0,
+            global_invs: 0,
             findings: 0,
             error: Some(tag.to_string()),
             wall,
@@ -150,6 +165,12 @@ impl JobOutcome {
                 "traffic",
                 Json::Arr(self.traffic.iter().map(|&v| Json::uint(v)).collect()),
             ),
+            (
+                "stalls",
+                Json::Arr(self.stalls.iter().map(|&v| Json::uint(v)).collect()),
+            ),
+            ("global_wbs", Json::uint(self.global_wbs)),
+            ("global_invs", Json::uint(self.global_invs)),
             ("findings", Json::uint(self.findings)),
             (
                 "error",
@@ -166,7 +187,9 @@ impl JobOutcome {
     }
 }
 
-fn family(scheme: Scheme) -> &'static str {
+/// The family name of a scheme, as outcomes and figure rows carry it:
+/// `"intra"` or `"inter"`.
+pub fn family(scheme: Scheme) -> &'static str {
     match scheme {
         Scheme::Intra(_) => "intra",
         Scheme::Inter(_) => "inter",

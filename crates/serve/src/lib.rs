@@ -17,8 +17,9 @@
 //! * [`queue`] — priority-then-FIFO queue ordering;
 //! * [`server`] — the worker pool, queue, and result cache;
 //! * [`socket`] — the line-delimited JSON socket frontend;
-//! * [`figures`] — the paper's full figure set as one queued sweep
-//!   (`BENCH_figures.json`).
+//! * [`figures`] — the paper's full figure set as one queued sweep:
+//!   the one enumeration of the grid, the in-process batch runner, and
+//!   `BENCH_figures.json`.
 //!
 //! See DESIGN.md §15 and the `hic-serve` binary for the CLI.
 
@@ -29,7 +30,7 @@ pub mod queue;
 pub mod server;
 pub mod socket;
 
-pub use figures::{figures_json, sweep_requests};
+pub use figures::{batch_in_process, figures_json, sweep_requests};
 pub use job::{Job, JobId, JobOutcome, JobState};
 pub use json::Json;
 pub use server::{Server, ServerStats};

@@ -10,8 +10,9 @@
 //! hard-coded — so every row must reproduce, cycle for cycle and flit
 //! for flit.
 //!
-//! Regenerate (only when an intentional timing-model change lands) with:
-//!   cargo run --release -p hic-bench --bin golden_dump
+//! Regenerate (only when an intentional timing-model change lands) with
+//! the command below; its lines paste over `GOLDEN` verbatim:
+//!   cargo run --release -p hic-bench --bin figures -- golden
 
 use hic_apps::{inter_apps, intra_apps, Scale};
 use hic_runtime::{Config, InterConfig, IntraConfig};
@@ -159,8 +160,18 @@ fn inter_suite_matches_seed_golden_data() {
 }
 
 /// The golden table covers the full matrix (11 intra apps x 5 configs +
-/// 4 inter apps x 4 configs).
+/// 4 inter apps x 4 configs), in the evaluation sweep's order — the
+/// order `figures golden` prints it in.
 #[test]
 fn golden_table_is_complete() {
     assert_eq!(GOLDEN.len(), 11 * 5 + 4 * 4);
+    let sweep: Vec<(String, &str)> = hic_serve::sweep_requests(Scale::Test)
+        .iter()
+        .map(|r| (r.app.clone(), r.config.name()))
+        .collect();
+    let golden: Vec<(String, &str)> = GOLDEN
+        .iter()
+        .map(|(app, cfg, _, _)| (app.to_string(), *cfg))
+        .collect();
+    assert_eq!(sweep, golden);
 }
